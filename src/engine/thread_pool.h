@@ -40,9 +40,12 @@ class ThreadPool {
 
   /// Runs `body` over [0, count) partitioned into `chunk`-sized pieces.
   /// The caller participates; the call blocks until every chunk finished.
-  /// The first exception thrown by any chunk is rethrown here (remaining
-  /// chunks are cancelled). Chunk boundaries depend only on (count, chunk),
-  /// never on the thread count.
+  /// If chunks throw, the first exception the pool catches is rethrown
+  /// here; with several throwers that need not be the first one thrown.
+  /// Catching it cancels the loop: chunks not yet claimed never start,
+  /// while chunks other threads claimed before the exception reached the
+  /// pool's catch may still run. Chunk boundaries depend only on
+  /// (count, chunk), never on the thread count.
   void parallelFor(std::size_t count, std::size_t chunk,
                    const ChunkBody& body);
 

@@ -95,8 +95,20 @@ TEST(ThreadPoolTest, RejectsEmptyBody) {
 TEST(ThreadPoolTest, CancellationSkipsUnclaimedChunks) {
   // Deterministic cancellation coverage for the runChunks catch block:
   // with 4 threads and every thread parked inside its first chunk, the
-  // thrower's exception must keep the remaining 996 chunks from ever
-  // being claimed - exactly 4 bodies run.
+  // remaining 996 chunks must never be claimed - exactly 4 bodies run.
+  //
+  // Every parked thread throws too once released. The pool parks its claim
+  // counter only when an exception reaches its catch, and a released
+  // thread that returned normally could claim (and finish) further chunks
+  // while the thrower's exception is still unwinding. Throwing from every
+  // thread makes each thread's own catch park the counter, or find it
+  // parked, before that thread's next claim. This also pins the
+  // multi-thrower branch: the first park drops the 996 unclaimed chunks
+  // from the completion count, later parks drop nothing.
+  //
+  // Not checked: that a thread whose chunk returned normally stops
+  // claiming once another thread's catch has parked the counter. A chunk
+  // body cannot observe that park, so no handshake can pin it.
   constexpr int kThreads = 4;
   ThreadPool pool(kThreads);
   std::atomic<int> started{0};
@@ -120,6 +132,7 @@ TEST(ThreadPoolTest, CancellationSkipsUnclaimedChunks) {
                          while (!throw_done.load()) {
                            std::this_thread::yield();
                          }
+                         throw std::runtime_error("cancel the rest too");
                        }),
       std::runtime_error);
   EXPECT_EQ(executed.load(), kThreads);
@@ -139,7 +152,9 @@ TEST(ThreadPoolTest, ConcurrentPoolsFailIndependently) {
   constexpr int kOwners = 4;
   std::vector<std::thread> owners;
   std::vector<std::size_t> sums(kOwners, 0);
-  std::vector<bool> threw(kOwners, false);
+  // char, not bool: vector<bool> packs the flags into shared words, so
+  // concurrent writes from different owners would race.
+  std::vector<char> threw(kOwners, false);
   for (int i = 0; i < kOwners; ++i) {
     owners.emplace_back([&, i] {
       ThreadPool pool(2);
