@@ -8,7 +8,7 @@
 //
 // The candidate evaluations run on the engine's BatchRunner: one compiled
 // EstimationPlan per estimator mode shared across all workers, one
-// workspace per thread, incremental deltas inside chunks - bit-identical
+// workspace per thread, bit-parallel 64-pattern blocks - bit-identical
 // to a sequential per-call loop at any thread count.
 //
 // Usage: bench_vector_control [vectors] [threads]   (default 512, all

@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   // --- 3. Pattern sweep over a circuit with a shared cached library -------
   // Estimation is compiled once into an immutable EstimationPlan; the
   // runner shares it across all workers, giving each thread its own
-  // workspace and walking chunks through the incremental delta path.
+  // workspace and evaluating patterns in bit-parallel 64-pattern blocks.
   const logic::LogicNetlist netlist = logic::c17();
   core::CharacterizationOptions options;
   options.kinds = {gates::GateKind::kNand2, gates::GateKind::kInv};

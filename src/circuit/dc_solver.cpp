@@ -1,6 +1,7 @@
 #include "circuit/dc_solver.h"
 
 #include <cstddef>
+#include <cstdio>
 #include <vector>
 
 #include "circuit/solver_core.h"
@@ -92,8 +93,12 @@ std::string nonConvergenceDetail(const Netlist& netlist,
   if (solution.max_residual_node >= netlist.nodeCount()) {
     return {};
   }
+  // Scientific notation: residuals of interest are sub-microamp, which
+  // fixed-point formatting would print as 0.000000.
+  char residual[32];
+  std::snprintf(residual, sizeof(residual), "%.3e", solution.max_residual);
   return "node " + netlist.nodeName(solution.max_residual_node) +
-         ", |residual| = " + std::to_string(solution.max_residual) + " A";
+         ", |residual| = " + residual + " A";
 }
 
 DcSolver::DcSolver(SolverOptions options) : options_(options) {

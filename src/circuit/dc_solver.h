@@ -60,9 +60,10 @@ struct Solution {
 };
 
 /// Diagnostic fragment for ConvergenceError messages: "node <name>,
-/// |residual| = <r> A" naming the worst free node of a failed solve, or
-/// empty when the solution carries no valid max_residual_node. Shared by
-/// every solve wrapper so non-converging corners read the same in CI logs.
+/// |residual| = <r> A" (r in %.3e notation) naming the worst free node of
+/// a failed solve, or empty when the solution carries no valid
+/// max_residual_node. Shared by every solve wrapper so non-converging
+/// corners read the same in CI logs.
 std::string nonConvergenceDetail(const Netlist& netlist,
                                  const Solution& solution);
 

@@ -1,10 +1,12 @@
 #include "core/estimation_plan.h"
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <string>
 
 #include "obs/metrics.h"
+#include "util/cancel.h"
 #include "util/error.h"
 
 namespace nanoleak::core {
@@ -21,7 +23,8 @@ constexpr std::size_t kDeltaFallbackNum = 1;
 constexpr std::size_t kDeltaFallbackDen = 4;
 
 /// Warm-start quality counters for estimateDelta: which path each call
-/// took. estimate.cold also counts direct estimate() calls.
+/// took. estimate.cold also counts direct estimate() calls and every
+/// estimateBlock() lane.
 struct EstimateMetrics {
   obs::Counter cold = obs::counter("estimate.cold");
   obs::Counter unchanged = obs::counter("estimate.unchanged");
@@ -61,9 +64,10 @@ EstimationPlan::EstimationPlan(const logic::LogicNetlist& netlist,
   require(options_.propagation_iterations >= 1,
           "EstimationPlan: propagation_iterations must be >= 1");
   for (const logic::Gate& gate : netlist_.gates()) {
-    require(library_.has(gate.kind),
-            std::string("EstimationPlan: library missing tables for ") +
-                gates::toString(gate.kind));
+    if (!library_.has(gate.kind)) {
+      throw Error(std::string("EstimationPlan: library missing tables for ") +
+                  gates::toString(gate.kind));
+    }
   }
   has_dffs_ = !netlist_.dffs().empty();
   if (has_dffs_) {
@@ -71,6 +75,10 @@ EstimationPlan::EstimationPlan(const logic::LogicNetlist& netlist,
             "EstimationPlan: INV tables required for DFF boundary model");
     dff_inv_table_[0] = &library_.table(gates::GateKind::kInv, 0);
     dff_inv_table_[1] = &library_.table(gates::GateKind::kInv, 1);
+    require(!dff_inv_table_[0]->pin_current.empty() &&
+                !dff_inv_table_[1]->pin_current.empty(),
+            "EstimationPlan: INV tables need a pin current for the DFF "
+            "boundary model");
     dff_load_count_.resize(net_count_);
     for (NetId net = 0; net < net_count_; ++net) {
       dff_load_count_[net] = netlist_.dffLoadCount(net);
@@ -103,9 +111,15 @@ EstimationPlan::EstimationPlan(const logic::LogicNetlist& netlist,
           netlist_.driverKind(net) != DriverKind::kPrimaryInput;
     }
     const std::vector<VectorTable>& tables = library_.tables(gate.kind);
-    require(tables.size() == (std::size_t{1} << gate.inputs.size()),
-            std::string("EstimationPlan: table count mismatch for ") +
-                gates::toString(gate.kind));
+    bool shaped = tables.size() == (std::size_t{1} << gate.inputs.size());
+    for (const VectorTable& table : tables) {
+      // The execution paths copy one nominal pin current per pin.
+      shaped = shaped && table.pin_current.size() == gate.inputs.size();
+    }
+    if (!shaped) {
+      throw Error(std::string("EstimationPlan: table shape mismatch for ") +
+                  gates::toString(gate.kind));
+    }
     for (std::size_t vec = 0; vec < tables.size(); ++vec) {
       table_[table_offset_[g] + vec] = &tables[vec];
     }
@@ -139,9 +153,10 @@ void EstimationPlan::checkWorkspace(const EstimationWorkspace& ws) const {
 }
 
 void EstimationPlan::checkSourceCount(std::size_t got) const {
-  require(got == sourceCount(),
-          "EstimationPlan: expected " + std::to_string(sourceCount()) +
-              " source values, got " + std::to_string(got));
+  if (got != sourceCount()) {
+    throw Error("EstimationPlan: expected " + std::to_string(sourceCount()) +
+                " source values, got " + std::to_string(got));
+  }
 }
 
 void EstimationPlan::refreshGateVector(EstimationWorkspace& ws,
@@ -198,68 +213,96 @@ void EstimationPlan::refreshGateEstimate(EstimationWorkspace& ws,
   estimate.leakage = ws.table_[g]->lookup(ws.il_[g], ws.ol_[g]);
 }
 
-void EstimationPlan::computeAllFromValues(EstimationWorkspace& ws) const {
-  for (GateId g = 0; g < gate_count_; ++g) {
-    refreshGateVector(ws, g);
+void EstimationPlan::simulateLanes(std::span<const std::vector<bool>> patterns,
+                                   EstimationWorkspace& ws) const {
+  std::fill(ws.source_words_.begin(), ws.source_words_.end(), 0);
+  for (std::size_t lane = 0; lane < patterns.size(); ++lane) {
+    const std::vector<bool>& pattern = patterns[lane];
+    checkSourceCount(pattern.size());
+    for (std::size_t i = 0; i < pattern.size(); ++i) {
+      if (pattern[i]) {
+        ws.source_words_[i] |= std::uint64_t{1} << lane;
+      }
+    }
   }
+  simulator_.simulateBlock(ws.source_words_, ws.net_words_);
+}
 
+void EstimationPlan::estimateLane(EstimationWorkspace& ws, std::size_t lane,
+                                  GateEstimate* per_gate,
+                                  device::LeakageBreakdown& total) const {
+  for (NetId net = 0; net < net_count_; ++net) {
+    ws.values_[net] = ((ws.net_words_[net] >> lane) & 1) != 0;
+  }
+  computeAllFromValues(ws, per_gate, total);
+}
+
+void EstimationPlan::computeAllFromValues(
+    EstimationWorkspace& ws, GateEstimate* per_gate,
+    device::LeakageBreakdown& total) const {
   if (!options_.with_loading) {
     // Traditional accumulation: isolated per-gate values at ideal rails
     // (the paper's no-loading baseline).
     for (GateId g = 0; g < gate_count_; ++g) {
-      ws.per_gate_[g] = GateEstimate{ws.table_[g]->isolated_nominal, 0.0, 0.0};
+      refreshGateVector(ws, g);
+      per_gate[g] = GateEstimate{ws.table_[g]->isolated_nominal, 0.0, 0.0};
     }
-    resumTotal(ws);
+    resumTotal(per_gate, total);
     return;
   }
 
   // Iteration 0 uses the nominal characterization; further iterations
   // re-derive pin currents at each gate's current (IL, OL) estimate.
   for (GateId g = 0; g < gate_count_; ++g) {
+    refreshGateVector(ws, g);
     const std::vector<double>& nominal = ws.table_[g]->pin_current;
     for (std::size_t pin = 0; pin < nominal.size(); ++pin) {
       ws.pin_current_[pin_offset_[g] + pin] = nominal[pin];
     }
   }
 
+  // Passes over the gates are fused where no value crosses gates: a
+  // gate's loading reads only the net injections (fixed for the pass) and
+  // its own pin currents, so refining those pin currents, or looking up
+  // and summing its leakage, right after its loading gives the same bits
+  // as separate passes - including the gate-order total.
+  device::LeakageBreakdown sum;
   for (int iter = 0; iter < options_.propagation_iterations; ++iter) {
     // Net totals of signed pin-injection currents.
     for (NetId net = 0; net < net_count_; ++net) {
       ws.net_injection_[net] = netInjection(ws, net);
     }
-
-    // Loading seen by each gate.
+    const bool last = iter + 1 == options_.propagation_iterations;
     for (GateId g = 0; g < gate_count_; ++g) {
+      // Loading seen by the gate.
       refreshGateLoading(ws, g);
-    }
-
-    // Refine pin currents for the next propagation level.
-    if (iter + 1 < options_.propagation_iterations) {
-      for (GateId g = 0; g < gate_count_; ++g) {
+      const VectorTable& table = *ws.table_[g];
+      if (!last) {
+        // Refine pin currents for the next propagation level.
         const std::size_t pins = pin_offset_[g + 1] - pin_offset_[g];
         for (std::size_t pin = 0; pin < pins; ++pin) {
-          ws.pin_current_[pin_offset_[g] + pin] = ws.table_[g]->pinCurrentAt(
+          ws.pin_current_[pin_offset_[g] + pin] = table.pinCurrentAt(
               static_cast<int>(pin), ws.il_[g], ws.ol_[g]);
         }
+        continue;
       }
+      GateEstimate& estimate = per_gate[g];
+      estimate.il = ws.il_[g];
+      estimate.ol = ws.ol_[g];
+      estimate.leakage = table.lookup(ws.il_[g], ws.ol_[g]);
+      sum += estimate.leakage;
     }
   }
-
-  for (GateId g = 0; g < gate_count_; ++g) {
-    GateEstimate& estimate = ws.per_gate_[g];
-    estimate.il = ws.il_[g];
-    estimate.ol = ws.ol_[g];
-    estimate.leakage = ws.table_[g]->lookup(ws.il_[g], ws.ol_[g]);
-  }
-  resumTotal(ws);
+  total = sum;
 }
 
-void EstimationPlan::resumTotal(EstimationWorkspace& ws) const {
-  device::LeakageBreakdown total;
+void EstimationPlan::resumTotal(const GateEstimate* per_gate,
+                                device::LeakageBreakdown& total) const {
+  device::LeakageBreakdown sum;
   for (GateId g = 0; g < gate_count_; ++g) {
-    total += ws.per_gate_[g].leakage;
+    sum += per_gate[g].leakage;
   }
-  ws.total_ = total;
+  total = sum;
 }
 
 void EstimationPlan::finishResult(const EstimationWorkspace& ws,
@@ -272,10 +315,9 @@ void EstimationPlan::estimate(const std::vector<bool>& source_values,
                               EstimationWorkspace& ws,
                               EstimateResult& out) const {
   checkWorkspace(ws);
-  checkSourceCount(source_values.size());
+  simulateLanes(std::span<const std::vector<bool>>(&source_values, 1), ws);
   estimateMetrics().cold.increment();
-  simulator_.simulateInto(source_values, ws.values_);
-  computeAllFromValues(ws);
+  estimateLane(ws, 0, ws.per_gate_.data(), ws.total_);
   ws.warm_ = true;
   finishResult(ws, out);
 }
@@ -285,6 +327,30 @@ EstimateResult EstimationPlan::estimate(
   EstimateResult out;
   estimate(source_values, ws, out);
   return out;
+}
+
+void EstimationPlan::estimateBlock(std::span<const std::vector<bool>> patterns,
+                                   EstimationWorkspace& ws,
+                                   std::span<EstimateResult> out) const {
+  checkWorkspace(ws);
+  require(patterns.size() <= kBlockLanes,
+          "EstimationPlan::estimateBlock: more patterns than block lanes");
+  require(out.size() == patterns.size(),
+          "EstimationPlan::estimateBlock: one result per pattern required");
+  // ws.per_gate_ never sees the lanes' results, so the workspace no longer
+  // holds a resumable estimate.
+  ws.warm_ = false;
+  if (patterns.empty()) {
+    return;
+  }
+  simulateLanes(patterns, ws);
+  for (std::size_t lane = 0; lane < patterns.size(); ++lane) {
+    util::pollCancel();
+    estimateMetrics().cold.increment();
+    EstimateResult& result = out[lane];
+    result.per_gate.resize(gate_count_);
+    estimateLane(ws, lane, result.per_gate.data(), result.total);
+  }
 }
 
 void EstimationPlan::estimateDelta(const std::vector<bool>& source_values,
@@ -311,7 +377,7 @@ void EstimationPlan::estimateDelta(const std::vector<bool>& source_values,
           gate_count_ * kDeltaFallbackNum;
   if (fallback) {
     estimateMetrics().fallback_full.increment();
-    computeAllFromValues(ws);
+    computeAllFromValues(ws, ws.per_gate_.data(), ws.total_);
     finishResult(ws, out);
     return;
   }
@@ -322,7 +388,7 @@ void EstimationPlan::estimateDelta(const std::vector<bool>& source_values,
       refreshGateVector(ws, g);
       ws.per_gate_[g] = GateEstimate{ws.table_[g]->isolated_nominal, 0.0, 0.0};
     }
-    resumTotal(ws);
+    resumTotal(ws.per_gate_.data(), ws.total_);
     finishResult(ws, out);
     return;
   }
@@ -396,7 +462,7 @@ void EstimationPlan::estimateDelta(const std::vector<bool>& source_values,
   for (GateId g : ws.touched_gates_) {
     ws.gate_mark_[g] = 0;
   }
-  resumTotal(ws);
+  resumTotal(ws.per_gate_.data(), ws.total_);
   finishResult(ws, out);
 }
 
@@ -409,6 +475,8 @@ EstimateResult EstimationPlan::estimateDelta(
 
 EstimationWorkspace::EstimationWorkspace(const EstimationPlan& plan)
     : plan_(&plan) {
+  source_words_.resize(plan.sourceCount());
+  net_words_.resize(plan.net_count_);
   values_.resize(plan.net_count_);
   table_.resize(plan.gate_count_);
   pin_current_.resize(plan.pin_net_.size());

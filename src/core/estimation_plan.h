@@ -15,12 +15,17 @@
 /// net neighbourhoods. A workspace belongs to one thread at a time: share
 /// the plan, give each thread its own workspace.
 ///
-/// Both execution paths are bit-identical to the legacy per-call
-/// LeakageEstimator::estimate - plan compilation only moves work, it never
-/// reorders a floating-point operation.
+/// Full evaluation has one path: estimateBlock() simulates up to 64
+/// patterns as one 64-bit word per net, then runs the loading propagation
+/// and table lookup per lane; estimate() is its one-lane case. Every path
+/// is bit-identical to the legacy per-call LeakageEstimator::estimate -
+/// plan compilation and blocking only move work, they never reorder a
+/// floating-point operation.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/leakage_table.h"
@@ -96,14 +101,28 @@ class EstimationPlan {
   /// Number of source values estimate()/estimateDelta() expect.
   std::size_t sourceCount() const { return simulator_.sourceCount(); }
 
+  /// Most patterns one estimateBlock() call evaluates.
+  static constexpr std::size_t kBlockLanes = logic::LogicSimulator::kBlockLanes;
+
   /// Full evaluation of one input pattern (see LogicNetlist::sourceNets()
-  /// for the value ordering) into a reusable result. Allocation-free once
-  /// `out` and `ws` have warmed up.
+  /// for the value ordering) into a reusable result: the one-lane case of
+  /// estimateBlock(). Allocation-free once `out` and `ws` have warmed up,
+  /// and leaves `ws` warm for estimateDelta().
   void estimate(const std::vector<bool>& source_values,
                 EstimationWorkspace& ws, EstimateResult& out) const;
   /// Convenience overload returning a fresh result.
   EstimateResult estimate(const std::vector<bool>& source_values,
                           EstimationWorkspace& ws) const;
+
+  /// Block evaluation of up to kBlockLanes patterns: one bit-parallel
+  /// logic simulation for the whole block, then propagation and lookup per
+  /// lane, written straight into out[k] (out.size() must equal
+  /// patterns.size()). out[k] is bit-identical to estimate() of
+  /// patterns[k]. Polls util::pollCancel() before each lane; on return or
+  /// throw `ws` is cold (the next estimateDelta() runs a full evaluation).
+  void estimateBlock(std::span<const std::vector<bool>> patterns,
+                     EstimationWorkspace& ws,
+                     std::span<EstimateResult> out) const;
 
   /// Incremental evaluation: reuses the state `ws` holds from its previous
   /// estimate()/estimateDelta() on this plan, re-simulating only the
@@ -133,10 +152,23 @@ class EstimationPlan {
   void refreshGateEstimate(EstimationWorkspace& ws, logic::GateId g) const;
   /// Net injection from current pin currents and values.
   double netInjection(const EstimationWorkspace& ws, logic::NetId net) const;
-  /// Everything after logic simulation, for all gates.
-  void computeAllFromValues(EstimationWorkspace& ws) const;
+  /// Packs patterns (one per lane) into source words and simulates the
+  /// block into ws.net_words_.
+  void simulateLanes(std::span<const std::vector<bool>> patterns,
+                     EstimationWorkspace& ws) const;
+  /// Lane `lane` of the simulated block into ws.values_, then everything
+  /// after logic simulation (computeAllFromValues).
+  void estimateLane(EstimationWorkspace& ws, std::size_t lane,
+                    GateEstimate* per_gate,
+                    device::LeakageBreakdown& total) const;
+  /// Everything after logic simulation, for all gates, from ws.values_:
+  /// per-gate results into per_gate[0, gateCount()), their gate-order sum
+  /// into `total`.
+  void computeAllFromValues(EstimationWorkspace& ws, GateEstimate* per_gate,
+                            device::LeakageBreakdown& total) const;
   /// Re-sums the whole-circuit total from per-gate leakages (gate order).
-  void resumTotal(EstimationWorkspace& ws) const;
+  void resumTotal(const GateEstimate* per_gate,
+                  device::LeakageBreakdown& total) const;
   void finishResult(const EstimationWorkspace& ws, EstimateResult& out) const;
 
   const logic::LogicNetlist& netlist_;
@@ -198,6 +230,10 @@ class EstimationWorkspace {
 
   const EstimationPlan* plan_;
   bool warm_ = false;
+
+  // Block simulation: one word per source / net, bit k = lane k.
+  std::vector<std::uint64_t> source_words_;
+  std::vector<std::uint64_t> net_words_;
 
   // SoA execution state (persisted between calls for the delta path).
   std::vector<bool> values_;

@@ -23,8 +23,15 @@ Axis::Location Axis::locate(double x) const {
   if (x >= points_.back()) {
     return {points_.size() - 2, 1.0};
   }
-  const auto it = std::upper_bound(points_.begin(), points_.end(), x);
-  const auto index = static_cast<std::size_t>(it - points_.begin()) - 1;
+  // Segment search by forward scan: axes are short and estimation
+  // loadings sit near the low end, so the scan usually stops within a few
+  // points. Finds the same segment as a binary search (the first point
+  // above x, minus one) and stops at the last point, since x < back().
+  std::size_t upper = 1;
+  while (points_[upper] <= x) {
+    ++upper;
+  }
+  const std::size_t index = upper - 1;
   const double lo = points_[index];
   const double hi = points_[index + 1];
   return {index, (x - lo) / (hi - lo)};
@@ -49,10 +56,12 @@ double Grid2D::interpolate(const Axis::Location& row,
                            const Axis::Location& col) const {
   const std::size_t r1 = std::min(row.index + 1, rows_ - 1);
   const std::size_t c1 = std::min(col.index + 1, cols_ - 1);
-  const double v00 = at(row.index, col.index);
-  const double v01 = at(row.index, c1);
-  const double v10 = at(r1, col.index);
-  const double v11 = at(r1, c1);
+  const double* top_row = values_.data() + row.index * cols_;
+  const double* bottom_row = values_.data() + r1 * cols_;
+  const double v00 = top_row[col.index];
+  const double v01 = top_row[c1];
+  const double v10 = bottom_row[col.index];
+  const double v11 = bottom_row[c1];
   const double top = v00 + (v01 - v00) * col.fraction;
   const double bottom = v10 + (v11 - v10) * col.fraction;
   return top + (bottom - top) * row.fraction;
@@ -97,9 +106,10 @@ bool LeakageLibrary::has(gates::GateKind kind) const {
 const std::vector<VectorTable>& LeakageLibrary::tables(
     gates::GateKind kind) const {
   const auto it = tables_.find(kind);
-  require(it != tables_.end(),
-          std::string("LeakageLibrary: no tables for ") +
-              gates::toString(kind));
+  if (it == tables_.end()) {
+    throw Error(std::string("LeakageLibrary: no tables for ") +
+                gates::toString(kind));
+  }
   return it->second;
 }
 
@@ -117,6 +127,20 @@ void LeakageLibrary::insert(gates::GateKind kind,
       std::size_t{1} << static_cast<std::size_t>(gates::inputCount(kind));
   require(tables.size() == expected,
           "LeakageLibrary::insert: wrong number of vector tables");
+  for (const VectorTable& table : tables) {
+    const auto shaped = [&](const Grid2D& grid) {
+      return grid.rows() == table.il_axis.size() &&
+             grid.cols() == table.ol_axis.size();
+    };
+    require(shaped(table.subthreshold) && shaped(table.gate) &&
+                shaped(table.btbt),
+            "LeakageLibrary::insert: leakage grid does not match its axes");
+    for (const Grid2D& grid : table.pin_current_grid) {
+      require(shaped(grid),
+              "LeakageLibrary::insert: pin-current grid does not match its "
+              "axes");
+    }
+  }
   tables_[kind] = std::move(tables);
 }
 

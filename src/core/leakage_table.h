@@ -59,11 +59,15 @@ class Grid2D {
   std::size_t rows() const { return rows_; }
   /// Number of columns.
   std::size_t cols() const { return cols_; }
-  /// Mutable cell access (unchecked).
+  /// Mutable cell access, bounds-checked (throws nanoleak::Error out of
+  /// range); for the cold fill and (de)serialization paths.
   double& at(std::size_t row, std::size_t col);
-  /// Cell access (unchecked).
+  /// Cell access, bounds-checked (throws nanoleak::Error out of range).
   double at(std::size_t row, std::size_t col) const;
-  /// Bilinear interpolation at two located axis positions.
+  /// Bilinear interpolation at two located axis positions. Reads cells
+  /// unchecked: requires `row` and `col` to come from locate() on axes
+  /// of rows() and cols() points, which LeakageLibrary::insert() verifies
+  /// for every table it accepts.
   double interpolate(const Axis::Location& row,
                      const Axis::Location& col) const;
   /// The raw row-major cell values.
@@ -141,7 +145,9 @@ class LeakageLibrary {
   /// One (kind, input vector) table.
   const VectorTable& table(gates::GateKind kind,
                            std::size_t vector_index) const;
-  /// Adds (or replaces) a kind's tables.
+  /// Adds (or replaces) a kind's tables. Requires one table per input
+  /// vector and every table's grids shaped to its axes (il rows x ol
+  /// columns), so lookups never read outside a grid.
   void insert(gates::GateKind kind, std::vector<VectorTable> tables);
 
   /// Number of gate kinds present.

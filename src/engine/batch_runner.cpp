@@ -11,6 +11,7 @@
 #include "obs/trace.h"
 #include "util/cancel.h"
 #include "util/error.h"
+#include "util/fault.h"
 
 namespace nanoleak::engine {
 
@@ -20,8 +21,6 @@ BatchRunner::BatchRunner(BatchOptions options)
                             : std::make_shared<TableCache>()),
       pool_(options_.threads) {
   require(options_.mc_chunk >= 1, "BatchRunner: mc_chunk must be >= 1");
-  require(options_.pattern_chunk >= 1,
-          "BatchRunner: pattern_chunk must be >= 1");
 }
 
 mc::MonteCarloEngine::ParallelExecutor BatchRunner::mcExecutor() {
@@ -128,10 +127,10 @@ std::vector<core::EstimateResult> BatchRunner::runPatterns(
       obs::counter("engine.workspace_reuses");
   std::vector<core::EstimateResult> out(patterns.size());
 
-  // One workspace per thread in steady state: workers draw from a shared
-  // free list and return their workspace after each chunk. A workspace
-  // returned warm seeds the next chunk's delta path - exactness of the
-  // delta guarantees the handoff cannot change a bit.
+  // One workspace per thread in steady state: tasks draw from a shared
+  // free list and return their workspace after each block. estimateBlock
+  // leaves a workspace cold, so handing it between blocks cannot carry
+  // state from one block into another.
   std::mutex mutex;
   std::vector<std::unique_ptr<core::EstimationWorkspace>> free_list;
   const auto acquire = [&] {
@@ -152,14 +151,15 @@ std::vector<core::EstimateResult> BatchRunner::runPatterns(
     free_list.push_back(std::move(ws));
   };
 
+  const std::span<const std::vector<bool>> all(patterns);
+  const std::span<core::EstimateResult> results(out);
   pool_.parallelFor(
-      patterns.size(), options_.pattern_chunk,
+      patterns.size(), core::EstimationPlan::kBlockLanes,
       [&](std::size_t begin, std::size_t end) {
+        FAULT_POINT("engine.run_patterns.block");
         auto ws = acquire();
-        for (std::size_t i = begin; i < end; ++i) {
-          util::pollCancel();
-          plan.estimateDelta(patterns[i], *ws, out[i]);
-        }
+        plan.estimateBlock(all.subspan(begin, end - begin), *ws,
+                           results.subspan(begin, end - begin));
         release(std::move(ws));
       });
   return out;

@@ -35,11 +35,6 @@ struct BatchOptions {
   /// Monte-Carlo samples per work chunk. Thread-count independent on
   /// purpose: chunk boundaries define the reduction order.
   std::size_t mc_chunk = 8;
-  /// Input patterns per work chunk in runPatterns. Within a chunk the
-  /// worker walks patterns through the plan's incremental delta path
-  /// (bit-identical to full evaluation, so chunking never affects
-  /// results).
-  std::size_t pattern_chunk = 32;
   /// Characterization cache this runner records into. Null (the default)
   /// gives the runner a private cache - the historical behaviour. A
   /// non-null cache is shared: several runners (e.g. the serve daemon's
@@ -94,11 +89,14 @@ class BatchRunner {
   McBatchResult run(const McSweep& sweep);
 
   /// Fig. 12 vector-sweep shape: estimates every input pattern against one
-  /// shared immutable EstimationPlan. Each worker draws an
+  /// shared immutable EstimationPlan. Patterns are cut into fixed blocks
+  /// of EstimationPlan::kBlockLanes (64), one pool task per block, so the
+  /// partitioning never depends on the thread count. Each task draws an
   /// EstimationWorkspace from a small pool (at most one per thread in
-  /// steady state) and walks its chunk through the incremental delta path;
+  /// steady state) and runs its block through plan.estimateBlock();
   /// results are bit-identical to plan.estimate() per pattern at any
-  /// thread count. The plan must outlive the call.
+  /// thread count. Cancellation (util::pollCancel) is checked before each
+  /// pattern. The plan must outlive the call.
   std::vector<core::EstimateResult> runPatterns(
       const core::EstimationPlan& plan,
       const std::vector<std::vector<bool>>& patterns);

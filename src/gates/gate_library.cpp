@@ -1,7 +1,7 @@
 #include "gates/gate_library.h"
 
 #include <array>
-#include <map>
+#include <cstdint>
 #include <utility>
 
 #include "util/error.h"
@@ -17,6 +17,16 @@ constexpr std::array<GateKind, 19> kCombinational = {
     GateKind::kAnd2,  GateKind::kAnd3,  GateKind::kAnd4,  GateKind::kOr2,
     GateKind::kOr3,   GateKind::kOr4,   GateKind::kXor2,  GateKind::kXnor2,
     GateKind::kAoi21, GateKind::kOai21, GateKind::kMux2};
+
+// registry() and truthTables() index by enum value.
+static_assert([] {
+  for (std::size_t i = 0; i < kCombinational.size(); ++i) {
+    if (static_cast<std::size_t>(kCombinational[i]) != i) {
+      return false;
+    }
+  }
+  return true;
+}());
 
 }  // namespace
 
@@ -336,47 +346,64 @@ CellTopology makeMux2() {
   return cell;
 }
 
-const std::map<GateKind, CellTopology>& registry() {
-  static const std::map<GateKind, CellTopology> cells = [] {
-    std::map<GateKind, CellTopology> m;
-    m.emplace(GateKind::kInv, makeInv());
-    m.emplace(GateKind::kBuf, makeBuf());
-    m.emplace(GateKind::kNand2, makeNand(2));
-    m.emplace(GateKind::kNand3, makeNand(3));
-    m.emplace(GateKind::kNand4, makeNand(4));
-    m.emplace(GateKind::kNor2, makeNor(2));
-    m.emplace(GateKind::kNor3, makeNor(3));
-    m.emplace(GateKind::kNor4, makeNor(4));
-    m.emplace(GateKind::kAnd2, makeAnd(2));
-    m.emplace(GateKind::kAnd3, makeAnd(3));
-    m.emplace(GateKind::kAnd4, makeAnd(4));
-    m.emplace(GateKind::kOr2, makeOr(2));
-    m.emplace(GateKind::kOr3, makeOr(3));
-    m.emplace(GateKind::kOr4, makeOr(4));
-    m.emplace(GateKind::kXor2, makeXor());
-    m.emplace(GateKind::kXnor2, makeXnor());
-    m.emplace(GateKind::kAoi21, makeAoi21());
-    m.emplace(GateKind::kOai21, makeOai21());
-    m.emplace(GateKind::kMux2, makeMux2());
-    return m;
-  }();
+/// Cells indexed by GateKind (the combinational kinds are the enum's
+/// first kCombinational.size() values, in kCombinational order).
+const std::array<CellTopology, kCombinational.size()>& registry() {
+  static const std::array<CellTopology, kCombinational.size()> cells = {
+      makeInv(),   makeBuf(),   makeNand(2), makeNand(3), makeNand(4),
+      makeNor(2),  makeNor(3),  makeNor(4),  makeAnd(2),  makeAnd(3),
+      makeAnd(4),  makeOr(2),   makeOr(3),   makeOr(4),   makeXor(),
+      makeXnor(),  makeAoi21(), makeOai21(), makeMux2()};
   return cells;
+}
+
+std::size_t kindIndex(GateKind kind) { return static_cast<std::size_t>(kind); }
+
+/// Truth tables of every combinational kind, derived once from the switch
+/// networks (so the table and the transistor topology cannot disagree).
+const std::array<std::uint16_t, kCombinational.size()>& truthTables() {
+  static const std::array<std::uint16_t, kCombinational.size()> tables = [] {
+    std::array<std::uint16_t, kCombinational.size()> out{};
+    for (GateKind kind : kCombinational) {
+      const int pins = inputCount(kind);
+      require(pins <= kMaxTruthTablePins,
+              "truthTable: cell has too many inputs for a 16-bit table");
+      std::uint16_t table = 0;
+      std::array<bool, kMaxTruthTablePins> inputs{};
+      for (unsigned vector = 0; vector < (1u << pins); ++vector) {
+        for (int pin = 0; pin < pins; ++pin) {
+          inputs[static_cast<std::size_t>(pin)] = ((vector >> pin) & 1u) != 0;
+        }
+        if (evaluateStages(kind, std::span<const bool>(
+                                     inputs.data(),
+                                     static_cast<std::size_t>(pins)))
+                .back()) {
+          table = static_cast<std::uint16_t>(table | (1u << vector));
+        }
+      }
+      out[kindIndex(kind)] = table;
+    }
+    return out;
+  }();
+  return tables;
 }
 
 }  // namespace
 
 const CellTopology& cellTopology(GateKind kind) {
-  require(hasTopology(kind),
-          std::string("cellTopology: ") + toString(kind) +
-              " has no transistor topology");
-  return registry().at(kind);
+  if (!hasTopology(kind)) {
+    throw Error(std::string("cellTopology: ") + toString(kind) +
+                " has no transistor topology");
+  }
+  return registry()[kindIndex(kind)];
 }
 
 std::vector<bool> evaluateStages(GateKind kind, std::span<const bool> inputs) {
   const CellTopology& cell = cellTopology(kind);
-  require(inputs.size() == static_cast<std::size_t>(cell.num_inputs),
-          std::string("evaluateStages: wrong input arity for ") +
-              toString(kind));
+  if (inputs.size() != static_cast<std::size_t>(cell.num_inputs)) {
+    throw Error(std::string("evaluateStages: wrong input arity for ") +
+                toString(kind));
+  }
   // Contiguous buffer for internal signals (std::vector<bool> cannot back a
   // span); no cell has more than a handful of stages.
   std::array<bool, 32> internals{};
@@ -393,9 +420,25 @@ std::vector<bool> evaluateStages(GateKind kind, std::span<const bool> inputs) {
   return outputs;
 }
 
+std::uint16_t truthTable(GateKind kind) {
+  if (!hasTopology(kind)) {
+    throw Error(std::string("truthTable: ") + toString(kind) +
+                " has no logic function");
+  }
+  return truthTables()[kindIndex(kind)];
+}
+
 bool evaluateGate(GateKind kind, std::span<const bool> inputs) {
-  const std::vector<bool> outputs = evaluateStages(kind, inputs);
-  return outputs.back();
+  const std::uint16_t table = truthTable(kind);
+  if (inputs.size() != static_cast<std::size_t>(inputCount(kind))) {
+    throw Error(std::string("evaluateGate: wrong input arity for ") +
+                toString(kind));
+  }
+  unsigned vector = 0;
+  for (std::size_t pin = 0; pin < inputs.size(); ++pin) {
+    vector |= static_cast<unsigned>(inputs[pin]) << pin;
+  }
+  return ((table >> vector) & 1u) != 0;
 }
 
 }  // namespace nanoleak::gates

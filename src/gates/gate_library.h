@@ -7,6 +7,7 @@
 // simulation and transistor topology can never disagree.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -116,7 +117,16 @@ struct CellTopology {
 /// Topology of a cell kind; requires hasTopology(kind).
 const CellTopology& cellTopology(GateKind kind);
 
-/// Truth function of the cell derived from its topology.
+/// Most input pins a cell may have (its truth table fits 16 bits).
+inline constexpr int kMaxTruthTablePins = 4;
+
+/// Truth table of the cell: bit v is the output for the input vector whose
+/// bit k is pin k's value (the vectorIndex() convention). Derived once from
+/// the switch networks, which stay the single source of truth; requires
+/// hasTopology(kind).
+std::uint16_t truthTable(GateKind kind);
+
+/// Truth function of the cell (a truthTable() lookup).
 /// `inputs.size()` must equal inputCount(kind).
 bool evaluateGate(GateKind kind, std::span<const bool> inputs);
 

@@ -8,8 +8,9 @@
 namespace nanoleak::logic {
 
 NetId LogicNetlist::addNet(const std::string& name) {
-  require(net_index_.find(name) == net_index_.end(),
-          "LogicNetlist::addNet: duplicate net name '" + name + "'");
+  if (net_index_.find(name) != net_index_.end()) {
+    throw Error("LogicNetlist::addNet: duplicate net name '" + name + "'");
+  }
   const NetId id = net_names_.size();
   net_names_.push_back(name);
   net_index_.emplace(name, id);
@@ -36,15 +37,18 @@ bool LogicNetlist::hasNet(const std::string& name) const {
 
 NetId LogicNetlist::net(const std::string& name) const {
   const auto it = net_index_.find(name);
-  require(it != net_index_.end(),
-          "LogicNetlist::net: unknown net '" + name + "'");
+  if (it == net_index_.end()) {
+    throw Error("LogicNetlist::net: unknown net '" + name + "'");
+  }
   return it->second;
 }
 
 void LogicNetlist::markPrimaryInput(NetId net) {
   require(net < netCount(), "markPrimaryInput: net out of range");
-  require(driver_kind_[net] == DriverKind::kUndriven,
-          "markPrimaryInput: net '" + net_names_[net] + "' already driven");
+  if (driver_kind_[net] != DriverKind::kUndriven) {
+    throw Error("markPrimaryInput: net '" + net_names_[net] +
+                "' already driven");
+  }
   driver_kind_[net] = DriverKind::kPrimaryInput;
   if (!is_primary_input_[net]) {
     is_primary_input_[net] = true;
@@ -64,13 +68,14 @@ GateId LogicNetlist::addGate(gates::GateKind kind, std::vector<NetId> inputs,
                              NetId output, std::string name) {
   require(gates::hasTopology(kind),
           "LogicNetlist::addGate: use addDff for flip-flops");
-  require(inputs.size() ==
-              static_cast<std::size_t>(gates::inputCount(kind)),
-          std::string("LogicNetlist::addGate: wrong arity for ") +
-              gates::toString(kind));
+  if (inputs.size() != static_cast<std::size_t>(gates::inputCount(kind))) {
+    throw Error(std::string("LogicNetlist::addGate: wrong arity for ") +
+                gates::toString(kind));
+  }
   require(output < netCount(), "addGate: output net out of range");
-  require(driver_kind_[output] == DriverKind::kUndriven,
-          "addGate: net '" + net_names_[output] + "' already driven");
+  if (driver_kind_[output] != DriverKind::kUndriven) {
+    throw Error("addGate: net '" + net_names_[output] + "' already driven");
+  }
   for (NetId in : inputs) {
     require(in < netCount(), "addGate: input net out of range");
   }
@@ -89,8 +94,9 @@ GateId LogicNetlist::addGate(gates::GateKind kind, std::vector<NetId> inputs,
 
 void LogicNetlist::addDff(NetId d, NetId q, std::string name) {
   require(d < netCount() && q < netCount(), "addDff: net out of range");
-  require(driver_kind_[q] == DriverKind::kUndriven,
-          "addDff: q net '" + net_names_[q] + "' already driven");
+  if (driver_kind_[q] != DriverKind::kUndriven) {
+    throw Error("addDff: q net '" + net_names_[q] + "' already driven");
+  }
   driver_kind_[q] = DriverKind::kDffOutput;
   ++dff_load_count_[d];
   if (name.empty()) {
@@ -115,8 +121,10 @@ DriverKind LogicNetlist::driverKind(NetId net) const {
 }
 
 GateId LogicNetlist::driverGate(NetId net) const {
-  require(driverKind(net) == DriverKind::kGate,
-          "driverGate: net '" + net_names_[net] + "' is not gate-driven");
+  if (driverKind(net) != DriverKind::kGate) {
+    throw Error("driverGate: net '" + net_names_[net] +
+                "' is not gate-driven");
+  }
   return driver_gate_[net];
 }
 
@@ -174,19 +182,23 @@ std::vector<GateId> LogicNetlist::topologicalOrder() const {
 void LogicNetlist::validate() const {
   for (const Gate& g : gates_) {
     for (NetId in : g.inputs) {
-      require(driver_kind_[in] != DriverKind::kUndriven,
-              "validate: gate '" + g.name + "' reads undriven net '" +
-                  net_names_[in] + "'");
+      if (driver_kind_[in] == DriverKind::kUndriven) {
+        throw Error("validate: gate '" + g.name + "' reads undriven net '" +
+                    net_names_[in] + "'");
+      }
     }
   }
   for (const Dff& dff : dffs_) {
-    require(driver_kind_[dff.d] != DriverKind::kUndriven,
-            "validate: DFF '" + dff.name + "' reads undriven net '" +
-                net_names_[dff.d] + "'");
+    if (driver_kind_[dff.d] == DriverKind::kUndriven) {
+      throw Error("validate: DFF '" + dff.name + "' reads undriven net '" +
+                  net_names_[dff.d] + "'");
+    }
   }
   for (NetId out : primary_outputs_) {
-    require(driver_kind_[out] != DriverKind::kUndriven,
-            "validate: primary output '" + net_names_[out] + "' undriven");
+    if (driver_kind_[out] == DriverKind::kUndriven) {
+      throw Error("validate: primary output '" + net_names_[out] +
+                  "' undriven");
+    }
   }
   (void)topologicalOrder();  // throws on cycles
 }

@@ -19,6 +19,19 @@ namespace nanoleak::mc {
 
 using circuit::NodeId;
 
+std::string fixtureNonConvergenceMessage(const circuit::Netlist& netlist,
+                                         const circuit::Solution& solution,
+                                         std::size_t trial) {
+  std::string message = "MonteCarloEngine: fixture solve failed (";
+  message += trial == kNominalTrial ? std::string("nominal")
+                                    : "trial " + std::to_string(trial);
+  const std::string detail = circuit::nonConvergenceDetail(netlist, solution);
+  if (!detail.empty()) {
+    message += ", " + detail;
+  }
+  return message + ")";
+}
+
 namespace {
 
 /// Replays a pre-drawn variation list in instantiation order.
@@ -137,41 +150,25 @@ circuit::SolverOptions fixtureOptions(const device::Technology& technology) {
 }
 
 [[noreturn]] void throwFixtureNonConvergence(
-    const circuit::Netlist& netlist, const circuit::Solution& solution) {
-  std::string message = "MonteCarloEngine: fixture solve failed";
-  const std::string detail = circuit::nonConvergenceDetail(netlist, solution);
-  if (!detail.empty()) {
-    message += " (" + detail + ")";
-  }
-  throw ConvergenceError(message);
-}
-
-/// Batched variant carrying the failing lane's scenario identity: the
-/// absolute trial index of the population.
-[[noreturn]] void throwBatchedNonConvergence(
     const circuit::Netlist& netlist, const circuit::Solution& solution,
     std::size_t trial) {
-  std::string message =
-      "MonteCarloEngine: fixture solve failed (trial " + std::to_string(trial);
-  const std::string detail = circuit::nonConvergenceDetail(netlist, solution);
-  if (!detail.empty()) {
-    message += ", " + detail;
-  }
-  throw ConvergenceError(message + ")");
+  throw ConvergenceError(fixtureNonConvergenceMessage(netlist, solution,
+                                                      trial));
 }
 
 /// Builds the fixture and returns the gate-under-test decomposition
 /// (legacy rebuild-per-trial path).
 device::LeakageBreakdown solveFixture(
     const device::Technology& technology, const McFixtureConfig& config,
-    bool with_loading, const std::vector<device::DeviceVariation>& vars) {
+    bool with_loading, const std::vector<device::DeviceVariation>& vars,
+    std::size_t trial) {
   ReplayProvider replay(vars);
   const BuiltFixture built =
       buildFixture(technology, config, with_loading, replay.provider());
   const circuit::DcSolver solver(fixtureOptions(technology));
   const circuit::Solution solution = solver.solve(built.netlist, built.seed);
   if (!solution.converged) {
-    throwFixtureNonConvergence(built.netlist, solution);
+    throwFixtureNonConvergence(built.netlist, solution, trial);
   }
   const device::Environment env{technology.temperature_k};
   return circuit::leakageByOwner(built.netlist, solution.voltages, env,
@@ -198,7 +195,7 @@ struct MonteCarloEngine::CompiledFixtures {
           cold_seed(std::move(built.seed)) {
       const circuit::Solution solution = kernel.solve(cold_seed);
       if (!solution.converged) {
-        throwFixtureNonConvergence(netlist, solution);
+        throwFixtureNonConvergence(netlist, solution, kNominalTrial);
       }
       nominal = std::move(solution.voltages);
     }
@@ -207,7 +204,7 @@ struct MonteCarloEngine::CompiledFixtures {
     /// VDD-scaled nominal point and returns the gate-under-test leakage.
     device::LeakageBreakdown solveTrial(
         std::span<const device::DeviceVariation> vars, double vdd,
-        double nominal_vdd) {
+        double nominal_vdd, std::size_t trial) {
       kernel.rebindVariations(vars);
       for (const NodeId node : vdd_fixed) {
         kernel.setFixedVoltage(node, vdd);
@@ -223,7 +220,7 @@ struct MonteCarloEngine::CompiledFixtures {
       }
       const circuit::Solution solution = kernel.solve(seed, {}, &cold_seed);
       if (!solution.converged) {
-        throwFixtureNonConvergence(netlist, solution);
+        throwFixtureNonConvergence(netlist, solution, trial);
       }
       return kernel.leakageByOwner(solution.voltages, 1)[0];
     }
@@ -262,7 +259,7 @@ struct MonteCarloEngine::BatchedFixtures {
           kernel.solve(std::span<const circuit::BatchSolverKernel::LaneRequest>(
               &request, 1));
       if (!solutions[0].converged) {
-        throwFixtureNonConvergence(netlist, solutions[0]);
+        throwFixtureNonConvergence(netlist, solutions[0], kNominalTrial);
       }
       nominal = std::move(solutions[0].voltages);
     }
@@ -355,7 +352,8 @@ void MonteCarloEngine::releaseBatchedFixtures(
   batch_pool_.push_back(std::move(fixtures));
 }
 
-McSample MonteCarloEngine::runOneLegacy(VariationSampler& sampler) const {
+McSample MonteCarloEngine::runOneLegacy(VariationSampler& sampler,
+                                        std::size_t trial) const {
   const DieSample die = sampler.sampleDie();
   const std::vector<device::DeviceVariation> vars =
       drawDeviceVariations(sampler, die);
@@ -366,14 +364,15 @@ McSample MonteCarloEngine::runOneLegacy(VariationSampler& sampler) const {
 
   McSample sample;
   sample.with_loading =
-      solveFixture(sample_tech, config_, /*with_loading=*/true, vars);
+      solveFixture(sample_tech, config_, /*with_loading=*/true, vars, trial);
   sample.without_loading =
-      solveFixture(sample_tech, config_, /*with_loading=*/false, vars);
+      solveFixture(sample_tech, config_, /*with_loading=*/false, vars, trial);
   return sample;
 }
 
 McSample MonteCarloEngine::runOneCompiled(CompiledFixtures& fixtures,
-                                          VariationSampler& sampler) const {
+                                          VariationSampler& sampler,
+                                          std::size_t trial) const {
   const DieSample die = sampler.sampleDie();
   const std::vector<device::DeviceVariation> vars =
       drawDeviceVariations(sampler, die);
@@ -382,22 +381,24 @@ McSample MonteCarloEngine::runOneCompiled(CompiledFixtures& fixtures,
 
   McSample sample;
   sample.with_loading = fixtures.with.solveTrial(
-      std::span<const device::DeviceVariation>(vars), vdd, technology_.vdd);
+      std::span<const device::DeviceVariation>(vars), vdd, technology_.vdd,
+      trial);
   sample.without_loading = fixtures.without.solveTrial(
       std::span<const device::DeviceVariation>(vars).first(
           fixtures.without.kernel.deviceCount()),
-      vdd, technology_.vdd);
+      vdd, technology_.vdd, trial);
   return sample;
 }
 
-McSample MonteCarloEngine::runOne(VariationSampler& sampler) const {
+McSample MonteCarloEngine::runOne(VariationSampler& sampler,
+                                  std::size_t trial) const {
   if (!use_compiled_) {
-    return runOneLegacy(sampler);
+    return runOneLegacy(sampler, trial);
   }
   auto fixtures = acquireFixtures();
   // On a throwing trial the (possibly half-rebound) pair is discarded
   // rather than returned to the pool.
-  McSample sample = runOneCompiled(*fixtures, sampler);
+  McSample sample = runOneCompiled(*fixtures, sampler, trial);
   releaseFixtures(std::move(fixtures));
   return sample;
 }
@@ -408,7 +409,7 @@ std::vector<McSample> MonteCarloEngine::run(std::size_t samples,
   std::vector<McSample> results;
   results.reserve(samples);
   for (std::size_t i = 0; i < samples; ++i) {
-    results.push_back(runOne(sampler));
+    results.push_back(runOne(sampler, i));
   }
   return results;
 }
@@ -416,7 +417,7 @@ std::vector<McSample> MonteCarloEngine::run(std::size_t samples,
 McSample MonteCarloEngine::runSample(std::uint64_t seed,
                                      std::size_t index) const {
   VariationSampler sampler(sigmas_, deriveStreamSeed(seed, index));
-  return runOne(sampler);
+  return runOne(sampler, index);
 }
 
 void MonteCarloEngine::runGroupBatched(BatchedFixtures& fixtures,
@@ -465,7 +466,7 @@ void MonteCarloEngine::runGroupBatched(BatchedFixtures& fixtures,
         one.kernel.solve(requests);
     for (std::size_t lane = 0; lane < lanes; ++lane) {
       if (!solutions[lane].converged) {
-        throwBatchedNonConvergence(one.netlist, solutions[lane],
+        throwFixtureNonConvergence(one.netlist, solutions[lane],
                                    begin + lane);
       }
       out[lane].*member =

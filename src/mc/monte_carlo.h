@@ -8,6 +8,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "device/device_params.h"
@@ -15,7 +16,23 @@
 #include "gates/gate_library.h"
 #include "mc/variation.h"
 
+namespace nanoleak::circuit {
+class Netlist;
+struct Solution;
+}  // namespace nanoleak::circuit
+
 namespace nanoleak::mc {
+
+/// Trial index naming the nominal (variation-free) fixture solve in
+/// fixtureNonConvergenceMessage().
+inline constexpr std::size_t kNominalTrial = static_cast<std::size_t>(-1);
+
+/// ConvergenceError message of a failed fixture solve: "MonteCarloEngine:
+/// fixture solve failed (trial <i>, node <name>, |residual| = <r> A)",
+/// with "nominal" in place of the trial for kNominalTrial.
+std::string fixtureNonConvergenceMessage(const circuit::Netlist& netlist,
+                                         const circuit::Solution& solution,
+                                         std::size_t trial);
 
 /// The Fig. 10 circuit shape.
 struct McFixtureConfig {
@@ -114,10 +131,12 @@ class MonteCarloEngine {
   struct CompiledFixtures;
   struct BatchedFixtures;
 
-  McSample runOne(VariationSampler& sampler) const;
-  McSample runOneLegacy(VariationSampler& sampler) const;
+  /// One trial drawn from `sampler`; `trial` names it in errors.
+  McSample runOne(VariationSampler& sampler, std::size_t trial) const;
+  McSample runOneLegacy(VariationSampler& sampler, std::size_t trial) const;
   McSample runOneCompiled(CompiledFixtures& fixtures,
-                          VariationSampler& sampler) const;
+                          VariationSampler& sampler,
+                          std::size_t trial) const;
   /// Draws the per-trial die/device variations in fixture instantiation
   /// order (drivers, gate, loaders) - shared by both paths so their
   /// populations are statistically identical.

@@ -260,8 +260,11 @@ void Server::handleFrame(const std::shared_ptr<Connection>& conn,
       respond(*conn, response);
       return;
     case scenario::ServeOp::kShutdown:
-      respond(*conn, response);
+      // Flag first, so a client holding the ack always observes a daemon
+      // that is shutting down. The ack still goes out: this reader's
+      // connection stays open until wait() joins the readers, last.
       requestShutdown();
+      respond(*conn, response);
       return;
     case scenario::ServeOp::kRun:
     case scenario::ServeOp::kEstimate:

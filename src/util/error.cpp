@@ -12,4 +12,6 @@ void require(bool condition, const std::string& message) {
   }
 }
 
+void throwError(const char* message) { throw Error(message); }
+
 }  // namespace nanoleak

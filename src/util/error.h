@@ -34,4 +34,18 @@ class ConvergenceError : public Error {
 /// C++ Core Guidelines: state and check preconditions).
 void require(bool condition, const std::string& message);
 
+/// Throws nanoleak::Error(message); the out-of-line cold half of
+/// require(bool, const char*).
+[[noreturn]] void throwError(const char* message);
+
+/// require() for fixed messages: a passing check builds no string, so it
+/// is cheap enough for per-gate and per-pattern paths. Checks whose
+/// message needs formatting should test first and build it only on
+/// failure.
+inline void require(bool condition, const char* message) {
+  if (!condition) [[unlikely]] {
+    throwError(message);
+  }
+}
+
 }  // namespace nanoleak

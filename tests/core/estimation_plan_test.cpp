@@ -154,6 +154,81 @@ TEST(EstimationPlanTest, MatchesLegacyOnDffBoundary) {
   }
 }
 
+TEST(EstimationPlanTest, EstimateBlockMatchesPerPatternEstimate) {
+  struct Case {
+    std::string name;
+    logic::LogicNetlist netlist;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"mult44", logic::arrayMultiplier(4)});
+  cases.push_back(
+      {"s838_like", logic::synthesizeIscasLike(logic::iscasSpec("s838"),
+                                               20050307)});
+  ASSERT_FALSE(cases.back().netlist.dffs().empty());
+
+  std::vector<EstimatorOptions> variants(3);
+  variants[1].propagation_iterations = 3;
+  variants[2].with_loading = false;
+
+  std::uint64_t seed = 31;
+  for (const Case& c : cases) {
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+      const EstimationPlan plan(c.netlist, sharedLibrary(), variants[v]);
+      EstimationWorkspace ws(plan);
+      Rng rng(seed++);
+      for (std::size_t lanes : {std::size_t{1}, std::size_t{63},
+                                EstimationPlan::kBlockLanes}) {
+        std::vector<std::vector<bool>> patterns;
+        for (std::size_t k = 0; k < lanes; ++k) {
+          patterns.push_back(logic::randomPattern(plan.sourceCount(), rng));
+        }
+        std::vector<EstimateResult> results(lanes);
+        plan.estimateBlock(patterns, ws, results);
+        EXPECT_FALSE(ws.warm());
+        for (std::size_t k = 0; k < lanes; ++k) {
+          EstimationWorkspace fresh(plan);
+          expectExactlyEqual(plan.estimate(patterns[k], fresh), results[k],
+                             c.name + " variant " + std::to_string(v) +
+                                 " lanes " + std::to_string(lanes) +
+                                 " lane " + std::to_string(k));
+        }
+      }
+      // A workspace used for blocks still serves the delta path exactly.
+      const std::vector<bool> pattern =
+          logic::randomPattern(plan.sourceCount(), rng);
+      EstimationWorkspace fresh(plan);
+      expectExactlyEqual(plan.estimate(pattern, fresh),
+                         plan.estimateDelta(pattern, ws),
+                         c.name + " delta after block");
+    }
+  }
+}
+
+TEST(EstimationPlanTest, EstimateBlockValidatesItsArguments) {
+  const logic::LogicNetlist nl = logic::c17();  // 5 sources
+  const EstimationPlan plan(nl, sharedLibrary());
+  EstimationWorkspace ws(plan);
+  std::vector<std::vector<bool>> patterns(EstimationPlan::kBlockLanes + 1,
+                                          std::vector<bool>(5, false));
+  std::vector<EstimateResult> results(patterns.size());
+  EXPECT_THROW(plan.estimateBlock(patterns, ws, results), Error);
+
+  patterns.resize(2);
+  results.resize(1);
+  EXPECT_THROW(plan.estimateBlock(patterns, ws, results), Error);
+
+  results.resize(2);
+  patterns[1].resize(4);
+  try {
+    plan.estimateBlock(patterns, ws, results);
+    FAIL() << "expected nanoleak::Error";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find("got 4"), std::string::npos);
+  }
+  // An empty block is a no-op.
+  EXPECT_NO_THROW(plan.estimateBlock({}, ws, {}));
+}
+
 TEST(EstimationPlanTest, RejectsWrongSourceCount) {
   const logic::LogicNetlist nl = logic::c17();  // 5 sources
   const EstimationPlan plan(nl, sharedLibrary());

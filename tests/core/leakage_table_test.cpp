@@ -58,6 +58,37 @@ TEST(Grid2DTest, OutOfRangeThrows) {
   Grid2D grid(2, 2);
   EXPECT_THROW(grid.at(2, 0), Error);
   EXPECT_THROW(grid.at(0, 2), Error);
+  const Grid2D& read_only = grid;
+  EXPECT_THROW(read_only.at(2, 1), Error);
+  EXPECT_THROW(read_only.at(1, 2), Error);
+  EXPECT_NO_THROW(read_only.at(1, 1));
+}
+
+TEST(Grid2DTest, InterpolateClampsAtBothAxisEnds) {
+  // Distinct corner values so every clamp direction is visible.
+  const Axis rows({0.0, 1.0, 2.0});
+  const Axis cols({10.0, 20.0});
+  Grid2D grid(3, 2);
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < 2; ++j) {
+      grid.at(i, j) = 10.0 * static_cast<double>(i) + static_cast<double>(j);
+    }
+  }
+  const auto at = [&](double x, double y) {
+    return grid.interpolate(rows.locate(x), cols.locate(y));
+  };
+  EXPECT_EQ(at(-1.0, 5.0), grid.at(0, 0));   // below both axes
+  EXPECT_EQ(at(-1.0, 25.0), grid.at(0, 1));  // below rows, above cols
+  EXPECT_EQ(at(3.0, 5.0), grid.at(2, 0));    // above rows, below cols
+  EXPECT_EQ(at(3.0, 25.0), grid.at(2, 1));   // above both axes
+  EXPECT_EQ(at(2.0, 20.0), grid.at(2, 1));   // exactly on the far ends
+  EXPECT_DOUBLE_EQ(at(7.0, 15.0), 20.5);     // clamped row, mid column
+
+  // Single-point axes read the one cell at any position.
+  Grid2D single(1, 1);
+  single.at(0, 0) = 4.0;
+  const Axis point(std::vector<double>{0.0});
+  EXPECT_EQ(single.interpolate(point.locate(-3.0), point.locate(9.0)), 4.0);
 }
 
 TEST(VectorIndexTest, LittleEndianPins) {
@@ -113,6 +144,19 @@ TEST(LeakageLibraryTest, InsertValidatesVectorCount) {
   EXPECT_FALSE(library.has(gates::GateKind::kNand2));
   EXPECT_THROW(library.tables(gates::GateKind::kNand2), Error);
   EXPECT_THROW(library.table(gates::GateKind::kInv, 5), Error);
+}
+
+TEST(LeakageLibraryTest, InsertRejectsGridsThatDoNotMatchTheirAxes) {
+  LeakageLibrary library;
+  VectorTable wide = makeTable();
+  wide.gate = Grid2D(2, 3);
+  EXPECT_THROW(library.insert(gates::GateKind::kInv, {wide, makeTable()}),
+               Error);
+  VectorTable short_pin = makeTable();
+  short_pin.pin_current_grid = {Grid2D(1, 2)};
+  EXPECT_THROW(
+      library.insert(gates::GateKind::kInv, {makeTable(), short_pin}), Error);
+  EXPECT_FALSE(library.has(gates::GateKind::kInv));
 }
 
 TEST(LeakageLibraryTest, SerializationRoundTrips) {

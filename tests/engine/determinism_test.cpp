@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <vector>
 
 #include "core/characterizer.h"
@@ -190,8 +191,9 @@ TEST(EngineDeterminismTest, CornerSweepMatchesDirectAnalyzerLoop) {
 
 TEST(EngineDeterminismTest, PatternSweepSharedPlanBitIdenticalAcrossThreads) {
   // One immutable plan shared by every worker, one workspace per thread,
-  // incremental deltas inside chunks - and still bit-identical to the
-  // sequential legacy estimator at any thread count and chunk size.
+  // 64-pattern blocks - and still bit-identical to the sequential legacy
+  // estimator at any thread count, whether or not the pattern count is a
+  // multiple of the block size.
   core::CharacterizationOptions options;
   options.kinds = {gates::GateKind::kNand2, gates::GateKind::kInv};
   options.loading_grid = {0.0, 1.0e-6, 3.0e-6};
@@ -203,23 +205,26 @@ TEST(EngineDeterminismTest, PatternSweepSharedPlanBitIdenticalAcrossThreads) {
   const core::EstimationPlan& plan = estimator.plan();
 
   Rng rng(41);
-  std::vector<std::vector<bool>> patterns;
-  for (int i = 0; i < 53; ++i) {  // not a multiple of any chunk size
-    patterns.push_back(logic::randomPattern(plan.sourceCount(), rng));
+  std::vector<std::vector<bool>> all_patterns;
+  for (int i = 0; i < 197; ++i) {  // three full blocks and a partial one
+    all_patterns.push_back(logic::randomPattern(plan.sourceCount(), rng));
   }
 
   std::vector<core::EstimateResult> reference;
-  for (const auto& pattern : patterns) {
+  for (const auto& pattern : all_patterns) {
     reference.push_back(estimator.estimate(pattern));
   }
 
   for (int threads : {1, 4, 8}) {
-    for (std::size_t chunk : {std::size_t{1}, std::size_t{7}}) {
-      BatchRunner runner(
-          BatchOptions{.threads = threads, .pattern_chunk = chunk});
+    BatchRunner runner(BatchOptions{.threads = threads});
+    for (std::size_t count : {std::size_t{53}, std::size_t{128},
+                              std::size_t{197}}) {
+      const std::vector<std::vector<bool>> patterns(
+          all_patterns.begin(),
+          all_patterns.begin() + static_cast<std::ptrdiff_t>(count));
       const std::vector<core::EstimateResult> results =
           runner.runPatterns(plan, patterns);
-      ASSERT_EQ(results.size(), reference.size());
+      ASSERT_EQ(results.size(), count);
       for (std::size_t i = 0; i < results.size(); ++i) {
         EXPECT_EQ(reference[i].total.subthreshold,
                   results[i].total.subthreshold);
@@ -236,7 +241,7 @@ TEST(EngineDeterminismTest, PatternSweepSharedPlanBitIdenticalAcrossThreads) {
       // The facade overload routes through the same plan path.
       const std::vector<core::EstimateResult> via_facade =
           runner.runPatterns(estimator, patterns);
-      ASSERT_EQ(via_facade.size(), reference.size());
+      ASSERT_EQ(via_facade.size(), count);
       for (std::size_t i = 0; i < via_facade.size(); ++i) {
         EXPECT_EQ(reference[i].total.total(), via_facade[i].total.total());
       }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "util/error.h"
@@ -181,6 +182,33 @@ TEST(GateLibraryTest, DffHasNoTopology) {
   EXPECT_FALSE(hasTopology(GateKind::kDff));
   EXPECT_THROW(cellTopology(GateKind::kDff), Error);
   EXPECT_EQ(inputCount(GateKind::kDff), 1);
+}
+
+TEST(GateLibraryTest, TruthTableMatchesSwitchNetworks) {
+  // The compiled truth table must agree with the switch-network
+  // evaluation (the source of truth) on every vector of every kind, and
+  // evaluateGate must be exactly the table lookup.
+  for (GateKind kind : combinationalKinds()) {
+    const int width = inputCount(kind);
+    ASSERT_LE(width, kMaxTruthTablePins) << toString(kind);
+    const std::uint16_t table = truthTable(kind);
+    for (std::size_t v = 0; v < (std::size_t{1} << width); ++v) {
+      const std::vector<bool> in = bits(v, width);
+      std::array<bool, 8> flat{};
+      for (std::size_t i = 0; i < in.size(); ++i) {
+        flat[i] = in[i];
+      }
+      const std::span<const bool> pins(flat.data(), in.size());
+      const bool expected = evaluateStages(kind, pins).back();
+      EXPECT_EQ(((table >> v) & 1u) != 0, expected)
+          << toString(kind) << " vector " << v;
+      EXPECT_EQ(evaluateGate(kind, pins), expected)
+          << toString(kind) << " vector " << v;
+    }
+    // Rows past the kind's vectors stay zero.
+    EXPECT_EQ(table >> (std::size_t{1} << width), 0u) << toString(kind);
+  }
+  EXPECT_THROW(truthTable(GateKind::kDff), Error);
 }
 
 TEST(GateLibraryTest, ArityMismatchThrows) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "logic/generators.h"
 #include "util/error.h"
 
@@ -164,6 +170,109 @@ TEST(LogicSimTest, SimulateIntoMatchesSimulate) {
     sim.simulateInto(pattern, reused);
     EXPECT_EQ(reused, sim.simulate(pattern));
   }
+}
+
+/// Seeded random netlist over every combinational kind: each gate reads
+/// random earlier nets (sources or gate outputs), and a few DFFs close
+/// loops through the sequential boundary.
+LogicNetlist randomNetlist(std::uint64_t seed, int inputs, int gates,
+                           int dffs) {
+  Rng rng(seed);
+  LogicNetlist nl;
+  std::vector<NetId> pool;
+  for (int i = 0; i < inputs; ++i) {
+    const NetId net = nl.addNet("pi" + std::to_string(i));
+    nl.markPrimaryInput(net);
+    pool.push_back(net);
+  }
+  std::vector<NetId> qs;
+  for (int i = 0; i < dffs; ++i) {
+    qs.push_back(nl.addNet("q" + std::to_string(i)));
+    pool.push_back(qs.back());
+  }
+  const std::span<const GateKind> kinds = gates::combinationalKinds();
+  for (int g = 0; g < gates; ++g) {
+    const GateKind kind = kinds[rng.uniformInt(kinds.size())];
+    std::vector<NetId> ins;
+    for (int pin = 0; pin < gates::inputCount(kind); ++pin) {
+      ins.push_back(pool[rng.uniformInt(pool.size())]);
+    }
+    const NetId out = nl.addNet("n" + std::to_string(g));
+    nl.addGate(kind, ins, out);
+    pool.push_back(out);
+  }
+  for (int i = 0; i < dffs; ++i) {
+    nl.addDff(pool[pool.size() - 1 - static_cast<std::size_t>(i)],
+              qs[static_cast<std::size_t>(i)]);
+  }
+  nl.markPrimaryOutput(pool.back());
+  return nl;
+}
+
+/// Reference simulation straight from the switch networks
+/// (gates::evaluateStages), independent of the compiled truth tables.
+std::vector<bool> switchLevelSimulate(const LogicNetlist& nl,
+                                      const std::vector<bool>& sources) {
+  std::vector<bool> values(nl.netCount(), false);
+  const std::vector<NetId> source_nets = nl.sourceNets();
+  for (std::size_t i = 0; i < source_nets.size(); ++i) {
+    values[source_nets[i]] = sources[i];
+  }
+  for (GateId g : nl.topologicalOrder()) {
+    const Gate& gate = nl.gate(g);
+    std::array<bool, 8> pins{};
+    for (std::size_t pin = 0; pin < gate.inputs.size(); ++pin) {
+      pins[pin] = values[gate.inputs[pin]];
+    }
+    values[gate.output] =
+        gates::evaluateStages(gate.kind, std::span<const bool>(
+                                             pins.data(), gate.inputs.size()))
+            .back();
+  }
+  return values;
+}
+
+TEST(LogicSimTest, SimulateBlockLanesMatchPerPatternSimulation) {
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    const LogicNetlist nl = randomNetlist(seed, 9, 120, seed % 2 == 0 ? 5 : 0);
+    const LogicSimulator sim(nl);
+    Rng rng(seed * 1000 + 7);
+    for (std::size_t lanes : {std::size_t{1}, std::size_t{37},
+                              LogicSimulator::kBlockLanes}) {
+      std::vector<std::vector<bool>> patterns;
+      std::vector<std::uint64_t> source_words(sim.sourceCount(), 0);
+      for (std::size_t k = 0; k < lanes; ++k) {
+        patterns.push_back(randomPattern(sim.sourceCount(), rng));
+        for (std::size_t i = 0; i < sim.sourceCount(); ++i) {
+          if (patterns[k][i]) {
+            source_words[i] |= std::uint64_t{1} << k;
+          }
+        }
+      }
+      std::vector<std::uint64_t> net_words;
+      sim.simulateBlock(source_words, net_words);
+      ASSERT_EQ(net_words.size(), nl.netCount());
+      for (std::size_t k = 0; k < lanes; ++k) {
+        const std::vector<bool> expected =
+            switchLevelSimulate(nl, patterns[k]);
+        EXPECT_EQ(sim.simulate(patterns[k]), expected)
+            << "seed " << seed << " lane " << k;
+        for (NetId net = 0; net < nl.netCount(); ++net) {
+          ASSERT_EQ(((net_words[net] >> k) & 1) != 0, expected[net])
+              << "seed " << seed << " lanes " << lanes << " lane " << k
+              << " net " << nl.netName(net);
+        }
+      }
+    }
+  }
+}
+
+TEST(LogicSimTest, SimulateBlockRejectsWrongSourceCount) {
+  const LogicNetlist nl = c17();
+  const LogicSimulator sim(nl);
+  std::vector<std::uint64_t> net_words;
+  EXPECT_THROW(sim.simulateBlock(std::vector<std::uint64_t>(4, 0), net_words),
+               Error);
 }
 
 TEST(LogicSimTest, SimulateDeltaTracksFullResimulation) {

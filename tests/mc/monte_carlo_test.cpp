@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "circuit/dc_solver.h"
+#include "circuit/netlist.h"
 #include "util/error.h"
 #include "util/statistics.h"
 
@@ -11,6 +15,29 @@ namespace {
 MonteCarloEngine makeEngine(VariationSigmas sigmas = VariationSigmas{}) {
   return MonteCarloEngine(device::defaultTechnology(), sigmas,
                           McFixtureConfig{});
+}
+
+TEST(MonteCarloTest, NonConvergenceMessageNamesTrialAndResidual) {
+  circuit::Netlist netlist;
+  const circuit::NodeId out = netlist.addNode("out");
+  circuit::Solution solution;
+  solution.converged = false;
+  solution.max_residual = 1e-7;
+  solution.max_residual_node = out;
+
+  const std::string message =
+      fixtureNonConvergenceMessage(netlist, solution, 17);
+  // A sub-microamp residual must not read as zero.
+  EXPECT_EQ(message.find("0.000000"), std::string::npos) << message;
+  EXPECT_NE(message.find("|residual| = 1.000e-07 A"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("trial 17"), std::string::npos) << message;
+  EXPECT_NE(message.find("node out"), std::string::npos) << message;
+
+  const std::string nominal =
+      fixtureNonConvergenceMessage(netlist, solution, kNominalTrial);
+  EXPECT_NE(nominal.find("(nominal, node out"), std::string::npos)
+      << nominal;
 }
 
 TEST(MonteCarloTest, RejectsBadConfig) {
