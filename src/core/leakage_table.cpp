@@ -20,18 +20,13 @@ Axis::Location Axis::locate(double x) const {
   if (points_.size() == 1 || x <= points_.front()) {
     return {0, 0.0};
   }
-  if (x >= points_.back()) {
+  // Written as !(x < back) so that NaN clamps here too: upper_bound would
+  // return end() for it and the segment below would run off the axis.
+  if (!(x < points_.back())) {
     return {points_.size() - 2, 1.0};
   }
-  // Segment search by forward scan: axes are short and estimation
-  // loadings sit near the low end, so the scan usually stops within a few
-  // points. Finds the same segment as a binary search (the first point
-  // above x, minus one) and stops at the last point, since x < back().
-  std::size_t upper = 1;
-  while (points_[upper] <= x) {
-    ++upper;
-  }
-  const std::size_t index = upper - 1;
+  const auto it = std::upper_bound(points_.begin(), points_.end(), x);
+  const auto index = static_cast<std::size_t>(it - points_.begin()) - 1;
   const double lo = points_[index];
   const double hi = points_[index + 1];
   return {index, (x - lo) / (hi - lo)};

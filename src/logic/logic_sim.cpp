@@ -76,9 +76,8 @@ void LogicSimulator::simulateInto(const std::vector<bool>& source_values,
                                   std::vector<bool>& values) const {
   checkSourceCount(source_values.size());
   // The one-lane case of simulateBlock.
-  thread_local std::vector<std::uint64_t> source_words;
-  thread_local std::vector<std::uint64_t> net_words;
-  source_words.resize(sources_.size());
+  std::vector<std::uint64_t> source_words(sources_.size());
+  std::vector<std::uint64_t> net_words;
   for (std::size_t i = 0; i < sources_.size(); ++i) {
     source_words[i] = source_values[i] ? 1 : 0;
   }

@@ -46,8 +46,8 @@ class LogicSimulator {
   std::vector<bool> simulate(const std::vector<bool>& source_values) const;
 
   /// Like simulate(), but writes into a caller-owned buffer (resized to
-  /// netCount()); no allocation once the buffer (and this thread's block
-  /// scratch) has capacity.
+  /// netCount()). Allocates its one-lane block words per call; the hot
+  /// estimation path calls simulateBlock() on workspace-owned words.
   void simulateInto(const std::vector<bool>& source_values,
                     std::vector<bool>& values) const;
 

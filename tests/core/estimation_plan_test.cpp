@@ -229,6 +229,55 @@ TEST(EstimationPlanTest, EstimateBlockValidatesItsArguments) {
   EXPECT_NO_THROW(plan.estimateBlock({}, ws, {}));
 }
 
+/// Expects EstimationPlan construction to throw nanoleak::Error whose
+/// message contains `needle`.
+void expectPlanRejects(const logic::LogicNetlist& netlist,
+                       const LeakageLibrary& library,
+                       const std::string& needle) {
+  try {
+    const EstimationPlan plan(netlist, library);
+    FAIL() << "expected nanoleak::Error";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find(needle), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(EstimationPlanTest, RejectsTablesWithTheWrongPinCurrentCount) {
+  // One NAND2 table carrying three pin currents for a two-pin gate.
+  LeakageLibrary library = sharedLibrary();
+  std::vector<VectorTable> nand2 = library.tables(gates::GateKind::kNand2);
+  nand2[2].pin_current.push_back(0.0);
+  library.insert(gates::GateKind::kNand2, nand2);
+  expectPlanRejects(logic::c17(), library, "table shape mismatch for NAND2");
+}
+
+TEST(EstimationPlanTest, RejectsDffBoundaryInvTablesWithoutPinCurrent) {
+  // DFF netlist without INV gates: only the DFF boundary model reads the
+  // INV tables, so only its check can catch the missing pin current.
+  logic::LogicNetlist nl;
+  const logic::NetId a = nl.addNet("a");
+  const logic::NetId b = nl.addNet("b");
+  nl.markPrimaryInput(a);
+  nl.markPrimaryInput(b);
+  const logic::NetId d = nl.addNet("d");
+  const logic::NetId q = nl.addNet("q");
+  const logic::NetId out = nl.addNet("out");
+  nl.addGate(gates::GateKind::kNand2, {a, b}, d);
+  nl.addDff(d, q);
+  nl.addGate(gates::GateKind::kNand2, {q, a}, out);
+  nl.markPrimaryOutput(out);
+  EXPECT_NO_THROW(EstimationPlan(nl, sharedLibrary()));
+
+  for (std::size_t vec : {0u, 1u}) {
+    LeakageLibrary library = sharedLibrary();
+    std::vector<VectorTable> inv = library.tables(gates::GateKind::kInv);
+    inv[vec].pin_current.clear();
+    library.insert(gates::GateKind::kInv, inv);
+    expectPlanRejects(nl, library, "DFF boundary model");
+  }
+}
+
 TEST(EstimationPlanTest, RejectsWrongSourceCount) {
   const logic::LogicNetlist nl = logic::c17();  // 5 sources
   const EstimationPlan plan(nl, sharedLibrary());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "util/error.h"
@@ -27,6 +28,13 @@ TEST(AxisTest, LocateClampsAndInterpolates) {
   const auto first = axis.locate(0.5);
   EXPECT_EQ(first.index, 0u);
   EXPECT_DOUBLE_EQ(first.fraction, 0.5);
+}
+
+TEST(AxisTest, LocateClampsNanToTheUpperEnd) {
+  const Axis axis({0.0, 1.0, 3.0});
+  const auto nan = axis.locate(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(nan.index, 1u);
+  EXPECT_EQ(nan.fraction, 1.0);
 }
 
 TEST(AxisTest, SinglePointAxis) {
